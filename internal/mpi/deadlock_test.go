@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,5 +275,53 @@ func TestNegativeTagInReport(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("report lost the negative collective tag:\n%s", de)
+	}
+}
+
+// TestSendInProbeGapIsNotDeadlock forces the lost wake-up behind the
+// false "deadlock detected": rank 1 is blocked, and rank 0 blocks too,
+// completing the all-blocked condition, then a send for rank 0 lands
+// after rank 0 released its mailbox lock but before its deadlock probe
+// took its activity baseline. No rank is waiting on the condition
+// variable the send broadcasts to, so only a baseline taken under the
+// lock sees the send; the run must complete. Both blocking paths are
+// covered: a blocking Recv and a Waitall on a posted Irecv.
+func TestSendInProbeGapIsNotDeadlock(t *testing.T) {
+	for _, op := range []string{"Recv", "Waitall"} {
+		t.Run(op, func(t *testing.T) {
+			w := zeroWorld(t, 2)
+			defer w.Close()
+			var fired atomic.Bool
+			w.probeGapHook = func(p *Proc) {
+				if p.rank == 0 && fired.CompareAndSwap(false, true) {
+					// Rank 1's send, delivered while rank 1 is still
+					// counted blocked in its own Recv.
+					w.procs[1].Send(0, 2, buffer.New(4))
+				}
+			}
+			err := w.Run(func(p *Proc) error {
+				b := buffer.New(4)
+				if p.Rank() == 1 {
+					p.Recv(0, 1, b)
+					return nil
+				}
+				for w.blocked.Load() != 1 {
+					runtime.Gosched() // block only after rank 1 has
+				}
+				if op == "Recv" {
+					p.Recv(1, 2, b)
+				} else if err := p.Waitall([]*Request{p.Irecv(1, 2, b)}); err != nil {
+					return err
+				}
+				p.Send(1, 1, b)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("live program aborted: %v", err)
+			}
+			if !fired.Load() {
+				t.Fatal("rank 0 never reached the deadlock probe; the interleaving was not forced")
+			}
+		})
 	}
 }

@@ -264,8 +264,12 @@ func (p *Proc) matchBlocking(ctx uint32, src, tag int) message {
 			continue
 		}
 		if p.w.blocked.Add(1)+p.w.finished.Load() == int32(p.w.size) {
+			act := p.w.activity.Load()
 			p.box.mu.Unlock()
-			p.w.suspectDeadlock()
+			if h := p.w.probeGapHook; h != nil {
+				h(p)
+			}
+			p.w.suspectDeadlock(act)
 			p.box.mu.Lock()
 			p.w.blocked.Add(-1)
 			if p.w.dead.Load() {
@@ -538,8 +542,12 @@ func (p *Proc) Waitall(rs []*Request) error {
 			continue
 		}
 		if p.w.blocked.Add(1)+p.w.finished.Load() == int32(p.w.size) {
+			act := p.w.activity.Load()
 			p.box.mu.Unlock()
-			p.w.suspectDeadlock()
+			if h := p.w.probeGapHook; h != nil {
+				h(p)
+			}
+			p.w.suspectDeadlock(act)
 			p.box.mu.Lock()
 			p.w.blocked.Add(-1)
 			if p.w.dead.Load() {
