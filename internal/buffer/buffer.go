@@ -80,13 +80,23 @@ func (b Buf) Bytes() []byte {
 // zero-length slice of a phantom buffer is a zero-length real buffer,
 // per the Real convention that zero-length buffers carry no mode.
 func (b Buf) Slice(off, n int) Buf {
-	if off < 0 || n < 0 || off+n > b.n {
-		panic(fmt.Sprintf("buffer: slice [%d:%d) out of range of %d-byte buffer", off, off+n, b.n))
+	if uint(off) > uint(b.n) || uint(n) > uint(b.n-off) {
+		panic(sliceError{off, n, b.n})
 	}
-	if b.data == nil {
-		return Buf{n: n}
+	if b.data != nil {
+		b.data = b.data[off : off+n]
 	}
-	return Buf{data: b.data[off : off+n], n: n}
+	b.n = n
+	return b
+}
+
+// sliceError is Slice's out-of-range panic value. A value, not a
+// formatted string, so Slice stays cheap enough to inline into the
+// per-block copy loops.
+type sliceError struct{ off, n, size int }
+
+func (e sliceError) Error() string {
+	return fmt.Sprintf("buffer: slice [%d:%d) out of range of %d-byte buffer", e.off, e.off+e.n, e.size)
 }
 
 // Byte returns the i-th byte. Phantom buffers read as zero.

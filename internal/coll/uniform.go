@@ -142,8 +142,16 @@ func ModifiedBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 // the modified Bruck (no final rotation) with SLOAV's rotation index
 // array (no initial rotation). Blocks are fetched from the send buffer
 // through the index array on their first transmission and from the
-// receive buffer afterwards, tracked by a status array. It is the
-// skeleton both non-uniform algorithms are built on.
+// receive buffer afterwards. It is the skeleton both non-uniform
+// algorithms are built on.
+//
+// The step structure makes the block sources static: at step k the
+// relative slots travel in runs [lo, lo+2^k), and only a run's first
+// slot (no bit below k set) has never been received, so it is the only
+// one read from the send buffer; the rest sit in recv as at most two
+// contiguous pieces, split where the slots wrap past P. Every block is
+// priced as its own copy, in slot order, but each piece moves with one
+// host copy (Proc.MemcpyBlocks).
 func ZeroRotationBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	if err := checkUniform(p, send, n, recv); err != nil {
 		return err
@@ -151,52 +159,64 @@ func ZeroRotationBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) err
 	P := p.Size()
 	rank := p.Rank()
 
-	// Rotation index array: I[s] is where slot s's initial block lives
-	// in the send buffer. Cost O(P), not O(P*n).
-	idx := make([]int, P)
-	for s := 0; s < P; s++ {
-		idx[s] = ((2*rank-s)%P + P) % P
-	}
+	// Rotation index: slot s's initial block lives at send block
+	// (2*rank - s) mod P. Only each run's first slot reads it, so it is
+	// computed per run, but priced as the O(P) array the algorithm
+	// builds (not O(P*n) like a rotation).
 	p.Charge(float64(P)) // ~1ns per index entry
 
 	// Self block goes straight to its final position.
-	p.Memcpy(recv.Slice(rank*n, n), send.Slice(idx[rank]*n, n))
+	p.Memcpy(recv.Slice(rank*n, n), send.Slice(rank*n, n))
 	if P == 1 {
 		return nil
 	}
 
 	done := p.Phase(PhaseComm)
-	status := make([]bool, P)
 	stage := p.AllocBuf((P + 1) / 2 * n)
 	rstage := p.AllocBuf((P + 1) / 2 * n)
 	defer p.FreeBuf(stage, rstage)
-	rel := make([]int, 0, (P+1)/2)
 	for k := 0; 1<<k < P; k++ {
 		p.SetStep(k)
-		rel = sendSlots(rel, P, k)
-		for j, i := range rel {
-			s := (i + rank) % P
-			var blk buffer.Buf
-			if status[s] {
-				blk = recv.Slice(s*n, n)
-			} else {
-				blk = send.Slice(idx[s]*n, n)
-			}
-			p.Memcpy(stage.Slice(j*n, n), blk)
+		run := 1 << k
+		off := 0
+		for lo := run; lo < P; lo += 2 * run {
+			m := min(run, P-lo)
+			s := (lo + rank) % P
+			p.Memcpy(stage.Slice(off, n), send.Slice((2*rank-s+P)%P*n, n))
+			ringCopy(p, stage.Slice(off+n, (m-1)*n), recv, (s+1)%P, m-1, P, n, false)
+			off += m * n
 		}
-		dst := (rank - 1<<k + P) % P
-		src := (rank + 1<<k) % P
-		total := len(rel) * n
-		p.SendRecv(dst, tagBruck+k, stage.Slice(0, total), src, tagBruck+k, rstage.Slice(0, total))
-		for j, i := range rel {
-			s := (i + rank) % P
-			p.Memcpy(recv.Slice(s*n, n), rstage.Slice(j*n, n))
-			status[s] = true
+		dst := (rank - run + P) % P
+		src := (rank + run) % P
+		p.SendRecv(dst, tagBruck+k, stage.Slice(0, off), src, tagBruck+k, rstage.Slice(0, off))
+		off = 0
+		for lo := run; lo < P; lo += 2 * run {
+			m := min(run, P-lo)
+			ringCopy(p, rstage.Slice(off, m*n), recv, (lo+rank)%P, m, P, n, true)
+			off += m * n
 		}
 	}
 	p.ClearStep()
 	done()
 	return nil
+}
+
+// ringCopy moves m n-byte blocks between the contiguous buffer flat and
+// slots s, s+1, ... (mod P) of the P-slot buffer ring, in slot order:
+// one MemcpyBlocks per contiguous piece, at most two, split where the
+// slots wrap. toRing picks the direction.
+func ringCopy(p *mpi.Proc, flat, ring buffer.Buf, s, m, P, n int, toRing bool) {
+	for m > 0 {
+		c := min(m, P-s)
+		f, r := flat.Slice(0, c*n), ring.Slice(s*n, c*n)
+		if toRing {
+			p.MemcpyBlocks(r, f, c, n)
+		} else {
+			p.MemcpyBlocks(f, r, c, n)
+		}
+		flat = flat.Slice(c*n, flat.Len()-c*n)
+		s, m = 0, m-c
+	}
 }
 
 // PairwiseAlltoall exchanges directly with every peer in P-1 rounds

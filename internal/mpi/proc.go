@@ -373,21 +373,43 @@ func (p *Proc) FreeBuf(bs ...buffer.Buf) {
 // local-copy cost for the bytes moved. It returns the byte count.
 func (p *Proc) Memcpy(dst, src buffer.Buf) int {
 	n := buffer.Copy(dst, src)
-	start := p.now
-	p.now += p.w.model.MemcpyCost(n)
-	if p.tr != nil {
-		p.tr.Add(trace.Event{Kind: trace.KindMemcpy, Start: start, Dur: p.now - start,
-			Bytes: n, Peer: -1, Step: p.step, Comm: int(p.grp.ctx)})
-	}
+	p.chargeBlocks(1, n)
 	return n
+}
+
+// MemcpyBlocks copies k contiguous n-byte blocks from the front of src
+// to the front of dst (phantom-aware) and returns the bytes moved, k*n.
+// The host moves them with one copy, but the clock is charged exactly as
+// k Memcpy calls of one block each would charge it: k additions of the
+// model's n-byte cost, in block order, with one memcpy trace event per
+// block. Algorithms price copies per block and execute them per
+// contiguous run through it, with virtual time bit-identical.
+func (p *Proc) MemcpyBlocks(dst, src buffer.Buf, k, n int) int {
+	total := k * n
+	buffer.Copy(dst.Slice(0, total), src.Slice(0, total))
+	p.chargeBlocks(k, n)
+	return total
 }
 
 // ChargeMemcpy charges the cost of copying n bytes without moving any
 // data; used where the copy itself is implied (e.g. zero-fill padding).
-func (p *Proc) ChargeMemcpy(n int) {
-	start := p.now
-	p.now += p.w.model.MemcpyCost(n)
-	if p.tr != nil {
+func (p *Proc) ChargeMemcpy(n int) { p.chargeBlocks(1, n) }
+
+// chargeBlocks advances the clock by k copies of n bytes, one model
+// cost addition (and one memcpy trace event) per copy.
+func (p *Proc) chargeBlocks(k, n int) {
+	c := p.w.memcpyCost(n)
+	if p.tr == nil {
+		now := p.now
+		for i := 0; i < k; i++ {
+			now += c
+		}
+		p.now = now
+		return
+	}
+	for i := 0; i < k; i++ {
+		start := p.now
+		p.now += c
 		p.tr.Add(trace.Event{Kind: trace.KindMemcpy, Start: start, Dur: p.now - start,
 			Bytes: n, Peer: -1, Step: p.step, Comm: int(p.grp.ctx)})
 	}
