@@ -3,6 +3,7 @@ package coll
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"bruckv/internal/buffer"
@@ -206,6 +207,17 @@ func TestPersistentInitValidation(t *testing.T) {
 		}
 		if _, err := AlltoallvInit(p, 2, []int{-1, 4}, sd, sc, sd); err == nil {
 			t.Error("negative count accepted")
+		}
+		// The compiled block ops hold int32 offsets: a span past 2 GiB
+		// is rejected locally, and a working buffer (P x global max
+		// block) past it on every rank alike.
+		if _, err := AlltoallvInit(p, 2, sc, []int{0, math.MaxInt32}, sc, sd); err == nil {
+			t.Error("send span beyond 2 GiB accepted")
+		}
+		big := []int{1 << 30, 1 << 30}
+		big[p.Rank()] = 0
+		if _, err := AlltoallvInit(p, 2, big, []int{0, 0}, big, []int{0, 0}); err == nil {
+			t.Error("working buffer beyond 2 GiB accepted")
 		}
 		return nil
 	})
